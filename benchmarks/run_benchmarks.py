@@ -76,9 +76,7 @@ def _print_shard_chaos(metrics: dict) -> None:
     )
     print(
         f"   {'':16s} zero-fault supervised "
-        f"{metrics['supervised_seconds'] * 1000:9.2f} ms vs unsupervised "
-        f"{metrics['unsupervised_seconds'] * 1000:9.2f} ms "
-        f"-> {metrics['zero_fault_overhead']:.2f}x overhead"
+        f"{metrics['supervised_seconds'] * 1000:9.2f} ms"
     )
     kinds = ", ".join(
         f"{key[len('recovered_'):]} {value:.0f}"

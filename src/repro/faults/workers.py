@@ -36,14 +36,14 @@ from enum import Enum
 class WorkerFaultKind(str, Enum):
     """Every way an injected shard worker can die."""
 
-    #: ``os._exit`` before the worker even receives its batch slice — the
-    #: coordinator sees a broken input pipe or an immediate result EOF.
+    #: ``os._exit`` before delivering any of the inherited slice — the
+    #: coordinator sees an immediate result EOF.
     CRASH_EARLY = "crash_early"
     #: The worker delivers its whole slice, then ``os._exit``\ s instead of
     #: sending the capture — all the work done, none of it reported.
     CRASH_LATE = "crash_late"
-    #: The worker receives its slice and then sleeps forever; only the
-    #: supervisor's inactivity deadline can unblock the run.
+    #: The worker sleeps forever before delivering, sending nothing; only
+    #: the supervisor's inactivity deadline can unblock the run.
     HANG = "hang"
     #: The worker sends unpicklable garbage bytes instead of a
     #: :class:`~repro.shard.state.ShardResult`.

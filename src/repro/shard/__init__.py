@@ -6,8 +6,9 @@ workers' captured state deterministically — bit-identical to the
 single-process engine for a fixed seed at every worker count.  See
 :mod:`repro.shard.engine` for the architecture,
 :mod:`repro.shard.state` for the ownership argument behind the merge and
-:mod:`repro.shard.supervisor` for the fault-tolerant supervised mode
-(deadlines, failure classification, deterministic shard re-execution).
+:mod:`repro.shard.supervisor` for the fork runner every forked run goes
+through (inherited slices, deadlines, failure classification,
+deterministic shard re-execution).
 """
 
 from repro.shard.engine import (
@@ -16,7 +17,7 @@ from repro.shard.engine import (
     fork_available,
     run_sharded,
 )
-from repro.shard.partition import partition_batches, partition_domains, shard_of
+from repro.shard.partition import partition_batches, shard_of
 from repro.shard.state import (
     ShardResult,
     capture_shard,
@@ -46,7 +47,6 @@ __all__ = [
     "fork_available",
     "merge_shard_results",
     "partition_batches",
-    "partition_domains",
     "run_sharded",
     "shard_of",
     "valid_shard_result",

@@ -11,30 +11,21 @@ merges the captures deterministically (see :mod:`repro.shard.state`).
 
 Two execution modes share the same partition/deliver/capture/merge path:
 
-* ``fork`` — one forked worker process per shard.  Workers inherit the
-  prepared registry copy-on-write; their batch slices are exchanged as
-  serialised activity batches over :mod:`multiprocessing` pipes (so a
-  batch originating on shard A's instance and targeting shard B's travels
-  through shard B's pipe), and each worker sends one pickled
-  :class:`~repro.shard.state.ShardResult` back.  The coordinator drains
-  result pipes in shard order — workers never talk to each other, so no
-  exchange can deadlock.
+* ``fork`` — one forked worker process per shard, run by the
+  :class:`~repro.shard.supervisor.ShardSupervisor`.  Each worker inherits
+  the prepared registry *and* its own batch slice copy-on-write through
+  ``fork`` (the slice is a ``Process`` argument, never pickled), and sends
+  one pickled :class:`~repro.shard.state.ShardResult` back over its result
+  pipe.  The supervisor holds every worker to an inactivity deadline,
+  classifies failures and re-executes failed shards — in fresh forks,
+  finally inline — so the merged state stays bit-identical to a
+  fault-free run no matter which workers died.
 * ``inline`` — shards run sequentially in the coordinator process.  The
   fallback for platforms without ``fork``, the fast path for
   ``n_workers == 1``, and the automatic choice on single-CPU hosts
   (where forked workers would serialise anyway and only pay fork/IPC
   overhead); it exercises the identical partition, capture and merge
   machinery, which is what the determinism gate leans on.
-
-On top of the plain fork mode sits the *supervised* mode
-(:mod:`repro.shard.supervisor`): the same forked workers run under
-per-shard inactivity deadlines with heartbeats, failures are classified
-(clean error report / EOF crash / hang past deadline / corrupt result
-pickle) and failed shards are re-executed — first in fresh forks with
-escalating deadlines, finally inline — so the merged state stays
-bit-identical to a fault-free run no matter which workers died.  Pass
-``supervised=True`` (or a worker-fault plan / supervisor config) to
-:func:`federate_sharded` to enable it.
 
 Deliveries to different targets are independent (all mutated state lives
 on the receiving instance; the shared decision caches are value-
@@ -97,9 +88,10 @@ class ShardedRunResult:
     #: Merged federation-state snapshot, shaped exactly like
     #: :func:`repro.shard.state.federation_state`.
     state: dict[str, Any]
-    #: Per-shard attempt/failure/retry accounting of a supervised run
-    #: (``None`` for the unsupervised engine).
-    recovery: "RecoveryStats | None" = None
+    #: Per-shard attempt/failure/retry accounting: the supervisor's fork
+    #: attempts in fork mode, one ``("inline", "ok")`` attempt per shard
+    #: inline.
+    recovery: "RecoveryStats"
 
 
 def fork_available() -> bool:
@@ -123,7 +115,7 @@ def _deliver_batches(
     """Deliver one shard's batch slice through a private delivery engine.
 
     ``progress`` (when given) is called after every batch with the number
-    of batches completed — the supervised workers' heartbeat hook.
+    of batches completed — the forked workers' heartbeat hook.
     """
     delivery = FederationDelivery(registry, sinks=[])
     delivered = rejected = 0
@@ -167,35 +159,28 @@ def _shard_worker(
     shard: int,
     n_shards: int,
     registry,
-    in_conn,
+    batches: Sequence[FederationBatch],
     out_conn,
-    fault: str | None = None,
-    heartbeat_seconds: float | None = None,
+    fault: str | None,
+    heartbeat_seconds: float,
 ) -> None:
-    """Worker-process body: receive a batch slice, deliver, send the capture.
+    """Worker-process body: deliver the inherited slice, send the capture.
 
-    The registry is inherited copy-on-write through ``fork``; the garbage
-    collector is disabled so cycle collection never touches (and thereby
-    copies) the parent's heap pages — the worker is short-lived and its
-    whole heap dies with the process.
+    The registry and the batch slice are both inherited copy-on-write
+    through ``fork``; the garbage collector is disabled so cycle
+    collection never touches (and thereby copies) the parent's heap pages
+    — the worker is short-lived and its whole heap dies with the process.
 
-    ``fault`` (a :class:`~repro.faults.workers.WorkerFaultKind` value)
-    scripts this attempt's death for the supervisor's fault-injection
-    plans; ``heartbeat_seconds`` enables periodic ``("hb", batches_done)``
-    messages so the supervisor's deadline measures *inactivity*, not total
-    runtime.  The unsupervised engine passes neither, keeping its original
-    single-message protocol.
+    ``fault`` (a :class:`~repro.faults.workers.WorkerFaultKind` value, or
+    ``None``) scripts this attempt's death for the supervisor's
+    fault-injection plans.  While delivering, the worker sends a
+    ``("hb", batches_done)`` heartbeat at most every ``heartbeat_seconds``
+    so the supervisor's deadline measures *inactivity*, not total runtime.
     """
     try:
         gc.disable()
         if fault == WorkerFaultKind.CRASH_EARLY.value:
             os._exit(FAULT_EXIT_CODE)
-        if heartbeat_seconds is not None:
-            # First sign of life before the (potentially large) slice
-            # recv, so the supervisor's inactivity clock starts here.
-            out_conn.send(("hb", 0))
-        batches = in_conn.recv()
-        in_conn.close()
         if fault == WorkerFaultKind.HANG.value:
             while True:  # pragma: no cover - killed by the supervisor
                 time.sleep(3600.0)
@@ -205,16 +190,14 @@ def _shard_worker(
         if fault == WorkerFaultKind.ERROR.value:
             raise RuntimeError(f"injected worker fault: shard {shard} error")
 
-        progress = None
-        if heartbeat_seconds is not None:
-            last_beat = time.monotonic()
+        last_beat = time.monotonic()
 
-            def progress(done: int) -> None:
-                nonlocal last_beat
-                now = time.monotonic()
-                if now - last_beat >= heartbeat_seconds:
-                    out_conn.send(("hb", done))
-                    last_beat = now
+        def progress(done: int) -> None:
+            nonlocal last_beat
+            now = time.monotonic()
+            if now - last_beat >= heartbeat_seconds:
+                out_conn.send(("hb", done))
+                last_beat = now
 
         result = _execute_shard(
             registry, shard, n_shards, batches, progress=progress
@@ -255,73 +238,6 @@ def reap_process(
         process.join(timeout=escalation_seconds)
 
 
-def _run_forked(
-    registry, shards: list[list[FederationBatch]]
-) -> list[ShardResult]:
-    """Run one forked worker per shard and collect their captures in order."""
-    ctx = multiprocessing.get_context("fork")
-    n_shards = len(shards)
-    workers = []
-    # Freeze the heap into the permanent generation before forking: the
-    # parent keeps collecting while workers run, and unfrozen objects
-    # would be re-examined (and their pages copied) in every child.
-    gc.freeze()
-    try:
-        for shard in range(n_shards):
-            in_recv, in_send = ctx.Pipe(duplex=False)
-            out_recv, out_send = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_shard_worker,
-                args=(shard, n_shards, registry, in_recv, out_send),
-                daemon=True,
-            )
-            process.start()
-            # Close the child's ends in the coordinator so a dead worker
-            # surfaces as EOF instead of a hang.
-            in_recv.close()
-            out_send.close()
-            workers.append((process, in_send, out_recv))
-    finally:
-        gc.unfreeze()
-
-    results: list[ShardResult] = []
-    try:
-        # Ship every shard its serialised batch slice first; each worker
-        # starts by draining its input pipe, so the sends cannot deadlock
-        # against the (later, in-order) result reads.  Every ship and
-        # drain failure names its shard: a worker dead before its recv
-        # surfaces as a broken send pipe here, not a raw BrokenPipeError.
-        for shard, (_, in_send, _) in enumerate(workers):
-            try:
-                in_send.send(shards[shard])
-            except OSError as exc:
-                raise RuntimeError(
-                    f"shard worker {shard} died before receiving its "
-                    f"batch slice ({exc!r})"
-                ) from exc
-            finally:
-                in_send.close()
-        for shard, (_, _, out_recv) in enumerate(workers):
-            try:
-                status, payload = out_recv.recv()
-            except EOFError:
-                raise RuntimeError(
-                    f"shard worker {shard} exited without sending a result"
-                ) from None
-            except Exception as exc:
-                raise RuntimeError(
-                    f"shard worker {shard} sent an unreadable result ({exc!r})"
-                ) from exc
-            if status != "ok":
-                raise RuntimeError(f"shard worker {shard} failed:\n{payload}")
-            results.append(payload)
-    finally:
-        for process, _, out_recv in workers:
-            out_recv.close()
-            reap_process(process, grace_seconds=30.0)
-    return results
-
-
 def _run_inline(
     registry, shards: list[list[FederationBatch]]
 ) -> list[ShardResult]:
@@ -339,7 +255,6 @@ def federate_sharded(
     n_workers: int,
     *,
     processes: bool | None = None,
-    supervised: bool | None = None,
     worker_faults: WorkerFaultPlan | None = None,
     supervisor: "SupervisorConfig | None" = None,
 ) -> ShardedRunResult:
@@ -351,14 +266,13 @@ def federate_sharded(
     the same partitioned work inline rather than paying fork and pipe
     overhead for nothing); ``True``/``False`` force the respective mode.
 
-    ``supervised`` selects the fault-tolerant engine: forked workers run
-    under the :class:`~repro.shard.supervisor.ShardSupervisor` (inactivity
-    deadlines, failure classification, deterministic shard re-execution)
-    and the result carries its
-    :class:`~repro.shard.supervisor.RecoveryStats`.  It defaults to on
-    whenever a ``worker_faults`` plan or a ``supervisor`` config is given.
+    Fork mode runs the workers under the
+    :class:`~repro.shard.supervisor.ShardSupervisor` (configured by
+    ``supervisor``, fault-scripted by ``worker_faults``): inactivity
+    deadlines, failure classification, deterministic shard re-execution.
     A non-inert fault plan needs real processes to kill, so it is rejected
-    when the run resolves to inline mode.
+    when the run resolves to inline mode.  Either way the result carries
+    the run's :class:`~repro.shard.supervisor.RecoveryStats`.
 
     Returns the merged federation-state snapshot — in fork mode the
     coordinator's registry is left untouched (workers mutate
@@ -368,6 +282,8 @@ def federate_sharded(
     the merge are unaffected, because the fallback executes the identical
     pure slice.)
     """
+    from repro.shard.supervisor import RecoveryStats, ShardSupervisor
+
     n_workers = int(n_workers)
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
@@ -375,8 +291,6 @@ def federate_sharded(
     shards = partition_batches(work, n_workers)
     pairs = delivered_pairs(work)
 
-    if supervised is None:
-        supervised = worker_faults is not None or supervisor is not None
     if processes is None:
         processes = n_workers > 1 and fork_available() and usable_cpus() > 1
     if processes and not fork_available():
@@ -394,26 +308,17 @@ def federate_sharded(
             "pass processes=True (or drop the fault plan) for inline runs"
         )
 
-    recovery: "RecoveryStats | None" = None
     try:
         if processes:
-            if supervised:
-                from repro.shard.supervisor import ShardSupervisor
-
-                results, recovery = ShardSupervisor(
-                    config=supervisor, faults=worker_faults
-                ).run(prepared.registry, shards)
-            else:
-                results = _run_forked(prepared.registry, shards)
+            results, recovery = ShardSupervisor(
+                config=supervisor, faults=worker_faults
+            ).run(prepared.registry, shards)
             mode = "fork"
         else:
             results = _run_inline(prepared.registry, shards)
-            if supervised:
-                from repro.shard.supervisor import RecoveryStats
-
-                recovery = RecoveryStats(n_shards=len(shards))
-                for shard in range(len(shards)):
-                    recovery.record(shard, 0, "inline", "ok", 0.0)
+            recovery = RecoveryStats(n_shards=len(shards))
+            for shard in range(len(shards)):
+                recovery.record(shard, 0, "inline", "ok", 0.0)
             mode = "inline"
     finally:
         # The shared decision caches only pay off within one run, and
@@ -445,7 +350,6 @@ def run_sharded(
     n_workers: int,
     *,
     processes: bool | None = None,
-    supervised: bool | None = None,
     worker_faults: WorkerFaultPlan | None = None,
     supervisor: "SupervisorConfig | None" = None,
 ) -> tuple[PreparedFediverse, ShardedRunResult]:
@@ -464,7 +368,6 @@ def run_sharded(
         work,
         n_workers,
         processes=processes,
-        supervised=supervised,
         worker_faults=worker_faults,
         supervisor=supervisor,
     )

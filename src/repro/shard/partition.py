@@ -17,7 +17,7 @@ so the partitioner uses CRC-32 of the UTF-8 domain bytes instead.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -29,16 +29,6 @@ def shard_of(domain: str, n_shards: int) -> int:
     if n_shards == 1:
         return 0
     return zlib.crc32(domain.encode("utf-8")) % n_shards
-
-
-def partition_domains(
-    domains: Iterable[str], n_shards: int
-) -> list[list[str]]:
-    """Partition ``domains`` into ``n_shards`` lists, preserving input order."""
-    shards: list[list[str]] = [[] for _ in range(n_shards)]
-    for domain in domains:
-        shards[shard_of(domain, n_shards)].append(domain)
-    return shards
 
 
 def partition_batches(batches: Sequence[T], n_shards: int) -> list[list[T]]:

@@ -1,10 +1,10 @@
 """Supervised shard execution: worker fault tolerance with exact recovery.
 
-The plain forked engine (:func:`repro.shard.engine._run_forked`) trusts
-its workers: a worker that dies aborts the run, and one that hangs blocks
-the coordinator forever on a blocking ``recv``.  The
-:class:`ShardSupervisor` removes both failure modes without giving up the
-engine's determinism guarantee:
+The :class:`ShardSupervisor` is the sharded engine's only fork runner.  It
+forks one worker per shard — each inheriting the prepared registry and its
+own batch slice copy-on-write, so nothing is shipped to a worker — and
+collects one :class:`~repro.shard.state.ShardResult` per shard without
+trusting any worker to finish:
 
 * **Deadlines, not blocking reads.**  The coordinator polls each shard's
   result pipe; workers send periodic ``("hb", batches_done)`` heartbeats,
@@ -19,12 +19,13 @@ engine's determinism guarantee:
   into the shard's :class:`~repro.shard.state.ShardResult`).
 * **Deterministic re-execution.**  Each shard's batch slice is a pure
   function of the partition, and a dead worker's mutations die with its
-  copy-on-write heap — the coordinator's registry is untouched.  A failed
-  shard is therefore simply run again: first in fresh forked workers
-  (bounded retries, each with an escalated deadline), finally inline in
-  the coordinator, which cannot fail the same way.  Whatever the attempt
-  history, the shard's capture — and hence the merged state — is
-  bit-identical to a fault-free run.
+  copy-on-write heap — the coordinator never mutates its slices or its
+  registry while workers run, so a retry fork inherits the same pristine
+  slice.  A failed shard is therefore simply run again: first in fresh
+  forked workers (bounded retries, each with an escalated deadline),
+  finally inline in the coordinator, which cannot fail the same way.
+  Whatever the attempt history, the shard's capture — and hence the
+  merged state — is bit-identical to a fault-free run.
 
 Fault injection rides in through a
 :class:`~repro.faults.workers.WorkerFaultPlan`: the supervisor asks the
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.faults.workers import WorkerFaultPlan
-from repro.shard.engine import _execute_shard, _shard_worker, reap_process
+from repro.shard import engine
 from repro.shard.state import ShardResult, valid_shard_result
 
 #: Classified worker-failure kinds (the ``outcome`` values of a failed
@@ -194,13 +195,10 @@ class RecoveryStats:
 
 @dataclass
 class _Worker:
-    """One live forked worker and its coordinator-side pipe ends."""
+    """One live forked worker and the coordinator's end of its result pipe."""
 
     process: object
-    in_send: object
     out_recv: object
-    #: Set when shipping the batch slice failed (worker died pre-recv).
-    ship_error: str = ""
 
 
 class ShardSupervisor:
@@ -217,27 +215,34 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
     # Worker lifecycle
     # ------------------------------------------------------------------ #
-    def _spawn(self, registry, shard: int, n_shards: int, attempt: int) -> _Worker:
-        """Fork one worker for ``shard``'s ``attempt``, fault-scripted."""
+    def _spawn(
+        self, registry, shard: int, n_shards: int, batches: Sequence, attempt: int
+    ) -> _Worker:
+        """Fork one worker for ``shard``'s ``attempt``, fault-scripted.
+
+        The registry and the batch slice are ``Process`` arguments, which
+        the ``fork`` start method hands to the child by inheritance — no
+        pickling, no input pipe.
+        """
         ctx = multiprocessing.get_context("fork")
         fault = None
         if self.faults is not None:
             kind = self.faults.fault_for(shard, attempt)
             fault = kind.value if kind is not None else None
-        in_recv, in_send = ctx.Pipe(duplex=False)
         out_recv, out_send = ctx.Pipe(duplex=False)
-        # Freeze the heap into the permanent generation around the fork,
-        # exactly as the unsupervised engine does, so the parent's
-        # collections never copy the child's inherited pages.
+        # Freeze the heap into the permanent generation around the fork:
+        # the parent keeps collecting while workers run, and unfrozen
+        # objects would be re-examined (and their pages copied) in every
+        # child.
         gc.freeze()
         try:
             process = ctx.Process(
-                target=_shard_worker,
+                target=engine._shard_worker,
                 args=(
                     shard,
                     n_shards,
                     registry,
-                    in_recv,
+                    batches,
                     out_send,
                     fault,
                     self.config.heartbeat_seconds,
@@ -247,21 +252,10 @@ class ShardSupervisor:
             process.start()
         finally:
             gc.unfreeze()
-        # Close the child's ends in the coordinator so a dead worker
-        # surfaces as a broken pipe / EOF instead of a silent hang.
-        in_recv.close()
+        # Close the child's end in the coordinator so a dead worker
+        # surfaces as EOF instead of a silent hang.
         out_send.close()
-        return _Worker(process=process, in_send=in_send, out_recv=out_recv)
-
-    def _ship(self, worker: _Worker, batches: Sequence) -> None:
-        """Send a worker its batch slice; a dead receiver is recorded, not
-        raised — the supervision loop classifies it as a crash."""
-        try:
-            worker.in_send.send(batches)
-        except OSError as exc:
-            worker.ship_error = f"batch slice undeliverable: {exc!r}"
-        finally:
-            worker.in_send.close()
+        return _Worker(process=process, out_recv=out_recv)
 
     def _reap(self, worker: _Worker, graceful: bool) -> None:
         """Tear a worker down; failed workers get no exit grace."""
@@ -269,7 +263,7 @@ class ShardSupervisor:
             worker.out_recv.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        reap_process(
+        engine.reap_process(
             worker.process,
             grace_seconds=self.config.join_grace_seconds if graceful else 0.0,
         )
@@ -285,8 +279,6 @@ class ShardSupervisor:
         Returns ``("ok", ShardResult)`` or ``(failure_kind, detail)``.
         The inactivity clock resets on every message received.
         """
-        if worker.ship_error:
-            return "eof", worker.ship_error
         config = self.config
         last_activity = time.monotonic()
         while True:
@@ -337,32 +329,38 @@ class ShardSupervisor:
         """Drive one shard to a capture: deadline, retries, fallback."""
         config = self.config
         attempt = 0
-        while True:
-            start = time.monotonic()
-            outcome, payload = self._await_result(
-                worker, shard, config.deadline_for(attempt)
-            )
-            elapsed = time.monotonic() - start
-            self._reap(worker, graceful=outcome == "ok")
-            if outcome == "ok":
-                stats.record(shard, attempt, "fork", "ok", elapsed)
-                return payload
-            stats.record(
-                shard, attempt, "fork", outcome, elapsed, detail=str(payload)
-            )
-            attempt += 1
-            if attempt >= config.max_worker_attempts:
-                break
-            # Fresh fork off the coordinator's untouched registry — the
-            # dead worker's partial mutations died with its heap.
-            worker = self._spawn(registry, shard, n_shards, attempt)
-            self._ship(worker, batches)
+        try:
+            while True:
+                start = time.monotonic()
+                outcome, payload = self._await_result(
+                    worker, shard, config.deadline_for(attempt)
+                )
+                elapsed = time.monotonic() - start
+                self._reap(worker, graceful=outcome == "ok")
+                if outcome == "ok":
+                    stats.record(shard, attempt, "fork", "ok", elapsed)
+                    return payload
+                stats.record(
+                    shard, attempt, "fork", outcome, elapsed, detail=str(payload)
+                )
+                attempt += 1
+                if attempt >= config.max_worker_attempts:
+                    break
+                # Fresh fork off the coordinator's untouched registry and
+                # slice — the dead worker's partial mutations died with
+                # its heap.
+                worker = self._spawn(registry, shard, n_shards, batches, attempt)
+        finally:
+            # A retry worker is this frame's alone: leave none behind when
+            # supervision itself raises (e.g. KeyboardInterrupt mid-await).
+            # Reaping is idempotent, so the normal path pays nothing.
+            self._reap(worker, graceful=False)
 
         # Last resort: re-execute the pure slice inline.  The coordinator
         # mutates only this shard's owned instances, which no surviving
         # worker captures, so the merge stays exact.
         start = time.monotonic()
-        result = _execute_shard(registry, shard, n_shards, batches)
+        result = engine._execute_shard(registry, shard, n_shards, batches)
         stats.record(
             shard, attempt, "inline", "ok", time.monotonic() - start
         )
@@ -373,22 +371,20 @@ class ShardSupervisor:
     ) -> tuple[list[ShardResult], RecoveryStats]:
         """Run every shard to completion; return captures in shard order.
 
-        All first-attempt workers are forked and shipped up front (they
-        deliver concurrently, exactly like the unsupervised engine); the
-        shards are then supervised in index order.  A shard that fails
-        retries immediately — later shards' workers keep running
-        meanwhile and are drained when their turn comes.
+        All first-attempt workers are forked up front, so they deliver
+        concurrently; the shards are then supervised in index order.  A
+        shard that fails retries immediately — later shards' workers keep
+        running meanwhile and are drained when their turn comes.
         """
         n_shards = len(shards)
         stats = RecoveryStats(n_shards=n_shards)
-        workers = [
-            self._spawn(registry, shard, n_shards, attempt=0)
-            for shard in range(n_shards)
-        ]
-        for shard, worker in enumerate(workers):
-            self._ship(worker, shards[shard])
+        workers: list[_Worker] = []
         results: list[ShardResult] = []
         try:
+            for shard, batches in enumerate(shards):
+                workers.append(
+                    self._spawn(registry, shard, n_shards, batches, attempt=0)
+                )
             for shard, worker in enumerate(workers):
                 results.append(
                     self._supervise_shard(
@@ -396,8 +392,8 @@ class ShardSupervisor:
                     )
                 )
         finally:
-            # On an unexpected coordinator error, leave no child behind.
+            # On an unexpected coordinator error, leave no child behind
+            # and no pipe end open.
             for worker in workers:
-                if worker.process.is_alive():  # pragma: no cover - defensive
-                    self._reap(worker, graceful=False)
+                self._reap(worker, graceful=False)
         return results, stats

@@ -1,19 +1,23 @@
 """Tests for the supervised sharded engine (``repro.shard.supervisor``).
 
 The claim under test is the supervisor's exactness guarantee: whatever
-the injected worker deaths — crash before the slice recv, crash after
+the injected worker deaths — crash before delivering, crash after
 delivering, hang past the inactivity deadline, corrupt result bytes, a
 clean error report, or a real SIGKILL mid-run — the recovered merged
 federation state is bit-identical to a fault-free run, and the failure
 is classified as the kind predicts.  The plan tests pin the deterministic
 compilation of :class:`~repro.faults.workers.WorkerFaultSpec` mixes; the
 teardown tests pin the terminate→kill escalation that keeps SIGTERM-
-immune workers from leaking past a run.
+immune workers from leaking past a run, and that no retry worker outlives
+an interrupted supervision.  The supervisor is the engine's only fork
+runner, and its workers inherit their batch slices through ``fork``: the
+coordinator sends them nothing.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import random
@@ -91,13 +95,19 @@ def single_process_state(generator: FediverseGenerator) -> dict:
     return federation_state(prepared, delivery.stats)
 
 
+@pytest.fixture(scope="module")
+def reference():
+    """The fault-free single-process state of the default tiny fediverse."""
+    return single_process_state(tiny_generator())
+
+
 def supervised_run(
     generator: FediverseGenerator,
     n_workers: int,
     plan: WorkerFaultPlan | None = None,
     config: SupervisorConfig = FAST,
 ) -> ShardedRunResult:
-    """One supervised forked run on a freshly prepared fediverse."""
+    """One forked run on a freshly prepared fediverse."""
     prepared = generator.prepare()
     work = list(generator.federation_batches(prepared))
     return federate_sharded(
@@ -105,7 +115,6 @@ def supervised_run(
         work,
         n_workers,
         processes=True,
-        supervised=True,
         worker_faults=plan,
         supervisor=config,
     )
@@ -319,42 +328,44 @@ class TestReapProcess:
 
 
 # --------------------------------------------------------------------------- #
-# Legacy (unsupervised) engine: failures name their shard
+# Broken worker bodies: every fork attempt fails, the fallback recovers
 # --------------------------------------------------------------------------- #
-def _exiting_worker(shard, n_shards, registry, in_conn, out_conn):
-    """A worker that dies before (or instead of) talking the protocol."""
+def _exiting_worker(shard, n_shards, registry, batches, out_conn, fault, heartbeat_seconds):
+    """A worker that dies before talking the protocol."""
     os._exit(1)  # pragma: no cover - child process body
 
 
-def _garbage_worker(shard, n_shards, registry, in_conn, out_conn):
+def _garbage_worker(shard, n_shards, registry, batches, out_conn, fault, heartbeat_seconds):
     """A worker that answers with bytes that cannot unpickle."""
-    in_conn.recv()  # pragma: no cover - child process body
-    out_conn.send_bytes(b"not a pickle \xff\x00")
-    os._exit(0)
+    out_conn.send_bytes(b"not a pickle \xff\x00")  # pragma: no cover - child
+    os._exit(0)  # pragma: no cover - child process body
 
 
 @needs_fork
-class TestUnsupervisedFailureReporting:
-    def run_forked(self) -> ShardedRunResult:
-        generator = tiny_generator()
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        return federate_sharded(prepared, work, 2, processes=True)
+class TestBrokenWorkerClassification:
+    def assert_every_fork_failed_as(self, result, outcome, reference):
+        assert result.state == reference
+        for shard in range(2):
+            attempts = result.recovery.shard_attempts(shard)
+            assert [a.mode for a in attempts] == ["fork", "fork", "inline"]
+            assert [a.outcome for a in attempts] == [outcome, outcome, "ok"]
+        assert result.recovery.inline_fallbacks == 2
 
-    def test_dead_worker_error_names_its_shard(self, monkeypatch):
-        """Whether the death surfaces on the ship (broken input pipe) or
-        on the drain (result EOF), the error must say which shard died
-        instead of leaking a raw BrokenPipeError/EOFError."""
+    def test_dead_worker_is_classified_eof_on_every_attempt(
+        self, monkeypatch, reference
+    ):
+        """A worker that exits silently surfaces as ``eof`` on the shard it
+        served, never as a raw EOFError, and the shard is recovered."""
         monkeypatch.setattr("repro.shard.engine._shard_worker", _exiting_worker)
-        with pytest.raises(RuntimeError, match="shard worker 0"):
-            self.run_forked()
+        result = supervised_run(tiny_generator(), 2)
+        self.assert_every_fork_failed_as(result, "eof", reference)
 
-    def test_unreadable_result_names_its_shard(self, monkeypatch):
+    def test_unreadable_result_is_classified_corrupt_on_every_attempt(
+        self, monkeypatch, reference
+    ):
         monkeypatch.setattr("repro.shard.engine._shard_worker", _garbage_worker)
-        with pytest.raises(
-            RuntimeError, match="shard worker 0 sent an unreadable result"
-        ):
-            self.run_forked()
+        result = supervised_run(tiny_generator(), 2)
+        self.assert_every_fork_failed_as(result, "corrupt", reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -362,30 +373,42 @@ class TestUnsupervisedFailureReporting:
 # --------------------------------------------------------------------------- #
 @needs_fork
 class TestSupervisedRecovery:
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return single_process_state(tiny_generator())
-
-    def test_zero_fault_run_matches_unsupervised_engine(self, reference):
+    def test_zero_fault_run_is_inert(self, reference):
         """Supervision must be inert without faults: same bits as the
-        plain forked engine, zero retries, all first attempts ok."""
-        generator = tiny_generator()
-        supervised = supervised_run(generator, 2)
-        assert supervised.mode == "fork"
-        assert supervised.state == reference
-        recovery = supervised.recovery
-        assert recovery is not None
+        single-process engine, zero retries, all first attempts ok."""
+        result = supervised_run(tiny_generator(), 2)
+        assert result.mode == "fork"
+        assert result.state == reference
+        recovery = result.recovery
         assert recovery.retries == 0
         assert recovery.failed_shards == ()
         assert all(
             attempt.outcome == "ok" and attempt.mode == "fork"
             for attempt in recovery.attempts
         )
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        unsupervised = federate_sharded(prepared, work, 2, processes=True)
-        assert unsupervised.state == reference
-        assert unsupervised.recovery is None
+
+    def test_coordinator_sends_nothing_to_its_workers(
+        self, monkeypatch, reference
+    ):
+        """Workers inherit their slices through ``fork``: the coordinator
+        makes no ``Connection.send``/``send_bytes`` call in a forked run.
+        (Workers run the wrapper too, but count into their own copy.)"""
+        sends = []
+        for name in ("send", "send_bytes"):
+            original = getattr(multiprocessing.connection.Connection, name)
+
+            def counting(conn, *args, _original=original, _name=name, **kwargs):
+                sends.append(_name)
+                return _original(conn, *args, **kwargs)
+
+            monkeypatch.setattr(
+                multiprocessing.connection.Connection, name, counting
+            )
+        result = supervised_run(tiny_generator(), 2)
+        assert result.mode == "fork"
+        assert result.state == reference
+        assert result.recovery.retries == 0
+        assert sends == []
 
     @pytest.mark.parametrize("kind", list(WorkerFaultKind))
     def test_each_death_kind_recovers_bit_identically(self, kind, reference):
@@ -421,17 +444,17 @@ class TestSupervisedRecovery:
         assert recovery.recovered_shards == (0,)
 
     def test_inline_supervised_run_records_recovery(self, reference):
-        result_prepared = tiny_generator()
-        prepared = result_prepared.prepare()
-        work = list(result_prepared.federation_batches(prepared))
-        result = federate_sharded(
-            prepared, work, 2, processes=False, supervised=True
-        )
+        generator = tiny_generator()
+        prepared = generator.prepare()
+        work = list(generator.federation_batches(prepared))
+        result = federate_sharded(prepared, work, 2, processes=False)
         assert result.mode == "inline"
         assert result.state == reference
-        assert result.recovery is not None
-        assert result.recovery.retries == 0
-        assert all(a.mode == "inline" for a in result.recovery.attempts)
+        assert result.recovery.n_shards == 2
+        assert [
+            (a.shard, a.attempt, a.mode, a.outcome)
+            for a in result.recovery.attempts
+        ] == [(0, 0, "inline", "ok"), (1, 0, "inline", "ok")]
 
     def test_inline_run_rejects_live_fault_plans(self):
         generator = tiny_generator()
@@ -450,34 +473,54 @@ class TestSupervisedRecovery:
             processes=False,
             worker_faults=WorkerFaultPlan(2, {}),
         )
-        assert result.recovery is not None
+        assert result.recovery.retries == 0
+        assert {(a.mode, a.outcome) for a in result.recovery.attempts} == {
+            ("inline", "ok")
+        }
 
     def test_run_sharded_threads_supervision_through(self, reference):
         config = scenario_config("tiny", seed=29)
-        _, result = run_sharded(
-            config, 2, processes=True, supervised=True, supervisor=FAST
-        )
+        _, result = run_sharded(config, 2, processes=True, supervisor=FAST)
+        assert result.mode == "fork"
         assert result.state == reference
-        assert result.recovery is not None
         assert result.recovery.n_shards == 2
+        assert result.recovery.retries == 0
 
 
 # --------------------------------------------------------------------------- #
 # Real signals: SIGKILL mid-run
 # --------------------------------------------------------------------------- #
-class _KillFirstShipped(ShardSupervisor):
-    """A supervisor that SIGKILLs the first worker right after shipping
-    its slice — a real, uninjected mid-run worker death."""
+class _KillFirstSpawned(ShardSupervisor):
+    """A supervisor that SIGKILLs the first worker right after forking
+    it — a real, uninjected mid-run worker death."""
 
     def __init__(self, config=None):
         super().__init__(config=config)
         self.killed_pid = None
 
-    def _ship(self, worker, batches):
-        super()._ship(worker, batches)
+    def _spawn(self, *args, **kwargs):
+        worker = super()._spawn(*args, **kwargs)
         if self.killed_pid is None:
             self.killed_pid = worker.process.pid
             os.kill(self.killed_pid, signal.SIGKILL)
+        return worker
+
+
+class _InterruptRetryAwait(ShardSupervisor):
+    """A supervisor interrupted while awaiting shard 0's retry worker."""
+
+    def __init__(self, config, faults):
+        super().__init__(config=config, faults=faults)
+        self.shard0_awaits = 0
+        self.retry_pid = None
+
+    def _await_result(self, worker, shard, deadline_seconds):
+        if shard == 0:
+            self.shard0_awaits += 1
+            if self.shard0_awaits == 2:
+                self.retry_pid = worker.process.pid
+                raise KeyboardInterrupt
+        return super()._await_result(worker, shard, deadline_seconds)
 
 
 @needs_fork
@@ -488,7 +531,7 @@ class TestRealSignals:
         prepared = generator.prepare()
         work = list(generator.federation_batches(prepared))
         shards = partition_batches(work, 2)
-        supervisor = _KillFirstShipped(config=FAST)
+        supervisor = _KillFirstSpawned(config=FAST)
         results, stats = supervisor.run(prepared.registry, shards)
         assert supervisor.killed_pid is not None
         state = merge_shard_results(prepared, results, delivered_pairs(work))
@@ -496,6 +539,22 @@ class TestRealSignals:
         assert stats.failed_shards == (0,)
         assert stats.recovered_shards == (0,)
         assert stats.shard_attempts(0)[0].outcome == "eof"
+
+    def test_interrupted_supervision_leaks_no_retry_worker(self):
+        """Shard 0's first worker crashes; its retry hangs and the await on
+        it raises.  The retry worker — forked inside the shard's
+        supervision, not up front — must still be torn down."""
+        generator = tiny_generator()
+        prepared = generator.prepare()
+        shards = partition_batches(list(generator.federation_batches(prepared)), 2)
+        plan = WorkerFaultPlan.scripted(
+            2, {0: (WorkerFaultKind.CRASH_EARLY, WorkerFaultKind.HANG)}
+        )
+        supervisor = _InterruptRetryAwait(FAST, plan)
+        with pytest.raises(KeyboardInterrupt):
+            supervisor.run(prepared.registry, shards)
+        assert supervisor.retry_pid is not None
+        assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------------------- #
