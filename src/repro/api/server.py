@@ -21,8 +21,8 @@ counters and the shared response caches are guarded by a state lock, every
 instance's mutable state (timelines, metadata, availability evaluation) is
 read under a per-instance re-entrant lock, and cached payloads are frozen
 (:func:`~repro.api.http.freeze_json`) so no client can corrupt what another
-sees.  :class:`RequestExecutor` is the thread-pool front end the concurrent
-crawl engine and the load harness drive requests through.
+sees.  :class:`RequestExecutor` is the thread-pool front end a multi-threaded
+measurement campaign (and so the load harness) drives requests through.
 """
 
 from __future__ import annotations
@@ -548,9 +548,11 @@ class RequestExecutor:
     of zero-argument tasks (each typically a per-worker slice of a crawl
     phase) and receive the results **in task order**, whatever order the
     threads finished in.  With one thread the executor runs tasks inline —
-    no pool, no handoff — so a 1-thread concurrent crawl pays nothing over
-    the sequential engine.  The pool is created lazily on the first
-    multi-task run and reused until :meth:`shutdown`.
+    no pool, no handoff — so a ``threads=1`` campaign crawls on the calling
+    thread.  The pool is created lazily on the first multi-task run and
+    reused until :meth:`shutdown`; a campaign scopes one executor to each
+    crawl (``with RequestExecutor(threads) as executor:``), so no pool
+    thread outlives the crawl.
     """
 
     def __init__(self, threads: int = 1) -> None:

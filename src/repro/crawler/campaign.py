@@ -12,13 +12,20 @@ server-side timeline streams), and crawl events flow through pluggable
 :class:`CrawlSink`\\ s — the seed-compatible :class:`CrawlResult` assembly is
 the default, while :class:`CountingCrawlSink` (via :meth:`MeasurementCampaign.run_counted`)
 observes a campaign in O(1) memory, mirroring the delivery engine's sinks.
+
+One class runs the crawl at any client fan-out:
+``MeasurementCampaign(..., threads=N)`` splits each phase's sorted domain
+list across N worker clients and merges their outputs in slice order, so
+the result is bit-identical at every thread count; the default
+``threads=1`` is the plain sequential crawl.
 """
 
 from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.api.client import APIClient
 from repro.api.server import FediverseAPIServer, RequestExecutor
@@ -185,7 +192,31 @@ class CountingCrawlSink(CrawlSink):
 
 
 class MeasurementCampaign:
-    """Run the full Section-3 measurement over a simulated fediverse."""
+    """Run the full Section-3 measurement over a simulated fediverse.
+
+    ``threads`` crawler workers share one thread-safe
+    :class:`~repro.api.server.FediverseAPIServer`.  Each worker owns its own
+    :class:`~repro.api.client.APIClient`,
+    :class:`~repro.crawler.crawler.InstanceCrawler` (private template cache
+    and failure log) and :class:`~repro.crawler.crawler.TimelineCrawler`.
+    Every phase partitions its sorted domain list into contiguous slices
+    (:func:`_partition`), one per worker, and runs them on a
+    :class:`~repro.api.server.RequestExecutor` scoped to the crawl; with
+    one thread the executor runs the single slice inline.  The main thread
+    alone advances the simulation clock and keeps the campaign bookkeeping
+    (first-seen stamps, peer carry-forward, the retry queue, sink emission).
+
+    Determinism contract: concatenating contiguous slices of a sorted list
+    in slice order *is* the sorted list, so snapshots, failures (contents
+    and order), timelines, request accounting and the assembled dataset
+    are bit-identical at every thread count.  Failures are harvested from
+    the workers after each phase and emitted before that round's
+    snapshots, so sinks see the same event stream at every thread count.
+
+    Faults and resilience need ``threads=1``: a retrying client advances
+    the shared simulated clock, which has no deterministic equivalent when
+    several worker threads do it at once.
+    """
 
     def __init__(
         self,
@@ -196,30 +227,41 @@ class MeasurementCampaign:
         sinks: Sequence[CrawlSink] | None = None,
         faults: FaultSpec | FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
+        threads: int = 1,
     ) -> None:
+        if threads < 1:
+            raise ValueError("threads must be at least 1")
+        if threads > 1 and (faults is not None or resilience is not None):
+            raise ValueError("faults and resilience need threads=1")
         self.registry = registry
         self.config = config or CampaignConfig()
+        self.threads = threads
+        #: The server, or a wrapper sharing its transport interface (the
+        #: load harness passes a latency-recording proxy here).
         self.server = server or FediverseAPIServer(registry)
         if isinstance(faults, FaultSpec):
             faults = compile_for_campaign(faults, registry, self.config.duration_days)
         self.fault_plan = faults
-        #: The transport the client talks to: the server itself for a
-        #: ``None``/inert plan (the zero-fault crawl runs on the exact PR 4
-        #: transport object), a :class:`~repro.faults.injector.FaultInjector`
-        #: otherwise.
+        #: The transport the clients talk to: the server itself for a
+        #: ``None``/inert plan, a
+        #: :class:`~repro.faults.injector.FaultInjector` otherwise.
         self.transport = faults.wrap(self.server) if faults is not None else self.server
         self.resilience = resilience
         retry_policy = resilience.retry_policy if resilience is not None else None
-        self.client = APIClient(self.transport, retry=retry_policy)
         self.directory = directory or InstanceDirectory(
             registry, coverage=self.config.directory_coverage
         )
-        self.instance_crawler = InstanceCrawler(self.client)
-        self.timeline_crawler = TimelineCrawler(
-            self.client, page_size=self.config.timeline_page_size
-        )
+        self.clients = [
+            APIClient(self.transport, retry=retry_policy) for _ in range(threads)
+        ]
+        #: Worker 0's client — the only client at ``threads=1``.
+        self.client = self.clients[0]
+        self.instance_crawlers = [InstanceCrawler(client) for client in self.clients]
+        self.timeline_crawlers = [
+            TimelineCrawler(client, page_size=self.config.timeline_page_size)
+            for client in self.clients
+        ]
         self.sinks: list[CrawlSink] = list(sinks or [])
-        self.instance_crawler.on_failure = self._emit_failure
         #: Domains re-snapshotted by the per-round retry queue, and how
         #: many of those second passes produced a snapshot.  Campaign-side
         #: bookkeeping (not part of :class:`CrawlResult`) read by the
@@ -232,7 +274,7 @@ class MeasurementCampaign:
         self.sinks.append(sink)
 
     # ------------------------------------------------------------------ #
-    # Sink notification
+    # Sink notification (main thread only)
     # ------------------------------------------------------------------ #
     def _emit_snapshot(self, round_index: int, snapshot: InstanceSnapshot) -> None:
         for sink in self.sinks:
@@ -246,45 +288,114 @@ class MeasurementCampaign:
         for sink in self.sinks:
             sink.on_timeline(collection)
 
+    def _harvest_failures(self, result: CrawlResult) -> list[CrawlFailure]:
+        """Move every worker's new failures into the result, in slice order.
+
+        Each worker records its slice's failures in domain order, so
+        harvesting worker by worker concatenates them back into the
+        sorted-domain order.  The harvested failures are emitted to the
+        sinks and returned (the retry queue reads them).
+        """
+        new: list[CrawlFailure] = []
+        for crawler in self.instance_crawlers:
+            new.extend(crawler.failures)
+            crawler.failures.clear()
+        result.failures.extend(new)
+        if self.sinks:
+            for failure in new:
+                self._emit_failure(failure)
+        return new
+
     # ------------------------------------------------------------------ #
     # Campaign phases
     # ------------------------------------------------------------------ #
-    def discover(self) -> tuple[set[str], set[str]]:
+    def _fan_out(
+        self,
+        executor: RequestExecutor,
+        workers: Sequence[Any],
+        domains: Sequence[str],
+        work: Callable[[Any, list[str]], Any],
+    ) -> list[Any]:
+        """Run ``work(worker, slice)`` for each worker on its contiguous
+        slice of ``domains``; results come back in slice order."""
+        return executor.run(
+            [
+                (lambda worker=worker, part=part: work(worker, part))
+                for worker, part in zip(workers, _partition(domains, self.threads))
+            ]
+        )
+
+    def _discover(self, executor: RequestExecutor) -> tuple[set[str], set[str]]:
         """Phase 1: discover Pleroma instances and every peer they name.
 
         Returns ``(pleroma_domains, all_known_domains)``.
         """
         pleroma_domains = set(self.directory.pleroma_instances())
         all_domains: set[str] = set(pleroma_domains)
-        client = self.client
-        for domain in sorted(pleroma_domains):
-            response = client.get_many(domain, (PEERS_PATH,))[0]
-            if response.ok:
-                all_domains.update(response.body)
+
+        def fetch_peers(client: APIClient, part: list[str]) -> set[str]:
+            found: set[str] = set()
+            for domain in part:
+                response = client.get_many(domain, (PEERS_PATH,))[0]
+                if response.ok:
+                    found.update(response.body)
+            return found
+
+        for found in self._fan_out(
+            executor, self.clients, sorted(pleroma_domains), fetch_peers
+        ):
+            all_domains |= found
         return pleroma_domains, all_domains
 
-    def snapshot_round(
-        self, pleroma_domains: set[str], now: float, fetch_peers: bool
+    def _snapshot_round(
+        self,
+        executor: RequestExecutor,
+        domains: list[str],
+        now: float,
+        fetch_peers: bool,
     ) -> dict[str, InstanceSnapshot]:
-        """Phase 2 (one round): snapshot every Pleroma instance's metadata.
+        """Phase 2 (one round): snapshot every domain's metadata.
 
-        The whole round is emitted as per-domain batches through the crawl
+        Each worker emits its slice as per-domain batches through the crawl
         engine — one request group per instance.
         """
-        return self.instance_crawler.snapshot_many(
-            sorted(pleroma_domains), now, fetch_peers=fetch_peers
-        )
+        merged: dict[str, InstanceSnapshot] = {}
+        for snapshots in self._fan_out(
+            executor,
+            self.instance_crawlers,
+            domains,
+            lambda crawler, part: crawler.snapshot_many(
+                part, now, fetch_peers=fetch_peers
+            ),
+        ):
+            merged.update(snapshots)
+        return merged
 
-    def collect_timelines(
-        self, domains: set[str], now: float
-    ) -> list[TimelineCollection]:
-        """Phase 3: collect public posts from every reachable instance."""
-        return list(
-            self.timeline_crawler.collect_many(
-                sorted(domains),
-                now,
-                local_only=True,
-                max_posts=self.config.max_posts_per_instance,
+    def _collect_timelines(
+        self, executor: RequestExecutor, domains: list[str], now: float
+    ) -> Iterable[TimelineCollection]:
+        """Phase 3: collect public posts from every snapshotted instance.
+
+        With one thread this is the single crawler's lazy stream, so
+        :meth:`run_counted` keeps flat memory; with more, each worker
+        materialises its slice so the collection runs in parallel.
+        """
+
+        def collect(
+            crawler: TimelineCrawler, part: list[str]
+        ) -> Iterator[TimelineCollection]:
+            return crawler.collect_many(
+                part, now, local_only=True, max_posts=self.config.max_posts_per_instance
+            )
+
+        if self.threads == 1:
+            return collect(self.timeline_crawlers[0], domains)
+        return chain.from_iterable(
+            self._fan_out(
+                executor,
+                self.timeline_crawlers,
+                domains,
+                lambda crawler, part: list(collect(crawler, part)),
             )
         )
 
@@ -315,8 +426,9 @@ class MeasurementCampaign:
 
         The crawl-side analogue of the delivery engine's counting mode:
         every timeline collection is dropped as soon as the sinks have
-        seen it and no dataset is assembled, so the campaign's memory
-        footprint stays flat regardless of how many posts it crawls.
+        seen it and no dataset is assembled, so at ``threads=1`` the
+        campaign's memory footprint stays flat regardless of how many
+        posts it crawls.
         """
         sink = CountingCrawlSink()
         self.sinks.append(sink)
@@ -328,11 +440,12 @@ class MeasurementCampaign:
 
     def _retry_round(
         self,
+        executor: RequestExecutor,
         snapshots: dict[str, InstanceSnapshot],
+        round_failures: list[CrawlFailure],
         pleroma_domains: set[str],
         now: float,
         fetch_peers: bool,
-        failures_before: int,
     ) -> None:
         """Give a round's fault-stricken domains one more snapshot pass.
 
@@ -342,7 +455,6 @@ class MeasurementCampaign:
         produced no snapshot.  With a zero-fault transport no failure
         carries an attribution, so the queue is provably always empty.
         """
-        round_failures = self.instance_crawler.failures[failures_before:]
         queue = sorted(
             {
                 failure.domain
@@ -355,72 +467,77 @@ class MeasurementCampaign:
         if not queue:
             return
         self.round_retried += len(queue)
-        salvaged = self.instance_crawler.snapshot_many(
-            queue, now, fetch_peers=fetch_peers
-        )
+        salvaged = self._snapshot_round(executor, queue, now, fetch_peers)
         self.round_salvaged += len(salvaged)
         snapshots.update(salvaged)
 
     def _crawl_phases(self, retain_timelines: bool) -> CrawlResult:
         clock = self.registry.clock
         result = CrawlResult(dataset=Dataset())
-
-        pleroma_domains, all_domains = self.discover()
-        result.pleroma_domains = pleroma_domains
-        result.discovered_domains = all_domains
-
-        first_seen = result.first_seen
         interval = self.config.snapshot_interval_hours * 3600.0
         keep_all = self.config.keep_all_snapshots
         round_retry = self.resilience is not None and self.resilience.round_retry
-        for round_index in range(self.config.snapshot_rounds):
-            now = clock.now()
-            # Peer lists are large and barely change; fetching them on the
-            # first round only mirrors how the paper's crawler was run.
-            fetch_peers = round_index == 0
-            failures_before = len(self.instance_crawler.failures)
-            snapshots = self.snapshot_round(pleroma_domains, now, fetch_peers)
-            if round_retry:
-                self._retry_round(
-                    snapshots, pleroma_domains, now, fetch_peers, failures_before
-                )
-            for domain, snapshot in snapshots.items():
-                first_seen.setdefault(domain, now)
-                previous = result.latest_snapshots.get(domain)
-                if previous is not None and not snapshot.peers:
-                    snapshot.peers = previous.peers
-                result.latest_snapshots[domain] = snapshot
-                result.snapshot_counts[domain] = result.snapshot_counts.get(domain, 0) + 1
-                if keep_all:
-                    result.all_snapshots.append(snapshot)
-                if self.sinks:
-                    self._emit_snapshot(round_index, snapshot)
-            clock.advance(interval)
+        first_seen = result.first_seen
 
-        collections = self.timeline_crawler.collect_many(
-            sorted(result.latest_snapshots),
-            clock.now(),
-            local_only=True,
-            max_posts=self.config.max_posts_per_instance,
-        )
-        for collection in collections:
-            if retain_timelines:
-                result.timelines.append(collection)
-            if self.sinks:
-                self._emit_timeline(collection)
-        result.failures = list(self.instance_crawler.failures)
-        result.api_requests = self.client.stats.requests
+        with RequestExecutor(self.threads) as executor:
+            pleroma_domains, all_domains = self._discover(executor)
+            result.pleroma_domains = pleroma_domains
+            result.discovered_domains = all_domains
+            sorted_pleroma = sorted(pleroma_domains)
+
+            for round_index in range(self.config.snapshot_rounds):
+                now = clock.now()
+                # Peer lists are large and barely change; fetching them on
+                # the first round only mirrors how the paper's crawler was run.
+                fetch_peers = round_index == 0
+                snapshots = self._snapshot_round(
+                    executor, sorted_pleroma, now, fetch_peers
+                )
+                round_failures = self._harvest_failures(result)
+                if round_retry:
+                    self._retry_round(
+                        executor,
+                        snapshots,
+                        round_failures,
+                        pleroma_domains,
+                        now,
+                        fetch_peers,
+                    )
+                    self._harvest_failures(result)
+                for domain, snapshot in snapshots.items():
+                    first_seen.setdefault(domain, now)
+                    previous = result.latest_snapshots.get(domain)
+                    if previous is not None and not snapshot.peers:
+                        snapshot.peers = previous.peers
+                    result.latest_snapshots[domain] = snapshot
+                    result.snapshot_counts[domain] = (
+                        result.snapshot_counts.get(domain, 0) + 1
+                    )
+                    if keep_all:
+                        result.all_snapshots.append(snapshot)
+                    if self.sinks:
+                        self._emit_snapshot(round_index, snapshot)
+                clock.advance(interval)
+
+            for collection in self._collect_timelines(
+                executor, sorted(result.latest_snapshots), clock.now()
+            ):
+                if retain_timelines:
+                    result.timelines.append(collection)
+                if self.sinks:
+                    self._emit_timeline(collection)
+        result.api_requests = sum(client.stats.requests for client in self.clients)
         return result
 
 
 def _partition(items: Sequence, parts: int) -> list[list]:
     """Split ``items`` into ``parts`` contiguous, near-equal slices.
 
-    Contiguity is the concurrent engine's whole determinism story: each
-    worker crawls one slice of the round's *sorted* domain list, and
+    Contiguity is the campaign's whole determinism story: each worker
+    crawls one slice of the round's *sorted* domain list, and
     concatenating the per-slice outputs in slice order reproduces the
-    sequential engine's domain order exactly.  Leading slices get the
-    remainder, so slice sizes differ by at most one.
+    sorted order exactly.  Leading slices get the remainder, so slice
+    sizes differ by at most one.
     """
     if parts < 1:
         raise ValueError("parts must be at least 1")
@@ -433,242 +550,3 @@ def _partition(items: Sequence, parts: int) -> list[list]:
         slices.append(items[start : start + size])
         start += size
     return slices
-
-
-class ConcurrentMeasurementCampaign:
-    """Run a measurement campaign with N concurrent crawler clients.
-
-    The multi-client twin of :class:`MeasurementCampaign`: every phase's
-    sorted domain list is partitioned into contiguous slices
-    (:func:`_partition`), one per worker, and the workers crawl their
-    slices in parallel through a shared (thread-safe)
-    :class:`~repro.api.server.FediverseAPIServer` on a
-    :class:`~repro.api.server.RequestExecutor` thread pool.  Each worker
-    owns its own :class:`~repro.api.client.APIClient`,
-    :class:`~repro.crawler.crawler.InstanceCrawler` (private template cache
-    and failure log) and :class:`~repro.crawler.crawler.TimelineCrawler`;
-    the main thread alone advances the simulation clock and keeps the
-    campaign bookkeeping (first-seen stamps, peer carry-forward, sink
-    emission), exactly as the sequential engine does.
-
-    Determinism contract (the ``serving`` bench stage's gate): the merged
-    :class:`CrawlResult` is **bit-identical** to the sequential engine's at
-    every thread count.  The only normalisation needed is the slice-order
-    merge itself — concatenating contiguous slices of a sorted list in
-    slice order *is* the sorted list, so snapshots, failures (contents and
-    order), timelines, request accounting and the assembled dataset all
-    come out exactly as the one-client engine produces them.  With
-    ``threads=1`` the executor runs inline and the crawl is the sequential
-    engine plus a single partition call.
-
-    Faults and resilience are deliberately unsupported here: a retrying
-    client advances the shared simulated clock from worker threads, which
-    has no deterministic merged equivalent.  Use the sequential engine for
-    chaos runs.
-    """
-
-    def __init__(
-        self,
-        registry: FediverseRegistry,
-        config: CampaignConfig | None = None,
-        threads: int = 2,
-        server: FediverseAPIServer | None = None,
-        directory: InstanceDirectory | None = None,
-        sinks: Sequence[CrawlSink] | None = None,
-        transport: FediverseAPIServer | None = None,
-    ) -> None:
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
-        self.registry = registry
-        self.config = config or CampaignConfig()
-        self.threads = threads
-        self.server = server or FediverseAPIServer(registry)
-        #: What the per-worker clients actually talk to — the server
-        #: itself, or a wrapper sharing its interface (the load harness
-        #: passes a latency-recording proxy here).
-        self.transport = transport if transport is not None else self.server
-        self.directory = directory or InstanceDirectory(
-            registry, coverage=self.config.directory_coverage
-        )
-        self.sinks: list[CrawlSink] = list(sinks or [])
-        self.executor = RequestExecutor(threads)
-        self.clients = [APIClient(self.transport) for _ in range(threads)]
-        self.instance_crawlers = [InstanceCrawler(client) for client in self.clients]
-        self.timeline_crawlers = [
-            TimelineCrawler(client, page_size=self.config.timeline_page_size)
-            for client in self.clients
-        ]
-
-    def close(self) -> None:
-        """Shut the executor's thread pool down (idempotent)."""
-        self.executor.shutdown()
-
-    def __enter__(self) -> "ConcurrentMeasurementCampaign":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Sink notification (main thread only)
-    # ------------------------------------------------------------------ #
-    def _emit_snapshot(self, round_index: int, snapshot: InstanceSnapshot) -> None:
-        for sink in self.sinks:
-            sink.on_snapshot(round_index, snapshot)
-
-    def _emit_failure(self, failure: CrawlFailure) -> None:
-        for sink in self.sinks:
-            sink.on_failure(failure)
-
-    def _emit_timeline(self, collection: TimelineCollection) -> None:
-        for sink in self.sinks:
-            sink.on_timeline(collection)
-
-    def _harvest_failures(
-        self, seen: list[int], result: CrawlResult
-    ) -> None:
-        """Append every worker's new failures to the result, in slice order.
-
-        Each worker records its slice's failures in domain order (the
-        sequential order restricted to the slice); harvesting worker by
-        worker after each phase concatenates them back into the sequential
-        engine's exact failure order.  Emitted to the sinks here — after
-        the phase, before its snapshots — which is the same
-        failures-then-snapshots round order the sequential engine produces.
-        """
-        for index, crawler in enumerate(self.instance_crawlers):
-            new = crawler.failures[seen[index] :]
-            seen[index] = len(crawler.failures)
-            result.failures.extend(new)
-            if self.sinks:
-                for failure in new:
-                    self._emit_failure(failure)
-
-    # ------------------------------------------------------------------ #
-    # Campaign phases
-    # ------------------------------------------------------------------ #
-    def discover(self) -> tuple[set[str], set[str]]:
-        """Phase 1, fanned out: peer expansion across the worker clients."""
-        pleroma_domains = set(self.directory.pleroma_instances())
-        all_domains: set[str] = set(pleroma_domains)
-        slices = _partition(sorted(pleroma_domains), self.threads)
-
-        def fetch(client: APIClient, part: list[str]) -> list:
-            return [client.get_many(domain, (PEERS_PATH,))[0] for domain in part]
-
-        tasks = [
-            (lambda client=client, part=part: fetch(client, part))
-            for client, part in zip(self.clients, slices)
-        ]
-        for responses in self.executor.run(tasks):
-            for response in responses:
-                if response.ok:
-                    all_domains.update(response.body)
-        return pleroma_domains, all_domains
-
-    def _snapshot_round(
-        self, domains: list[str], now: float, fetch_peers: bool
-    ) -> dict[str, InstanceSnapshot]:
-        """One snapshot round, fanned out; merged in slice order."""
-        slices = _partition(domains, self.threads)
-        tasks = [
-            (
-                lambda crawler=crawler, part=part: crawler.snapshot_many(
-                    part, now, fetch_peers=fetch_peers
-                )
-            )
-            for crawler, part in zip(self.instance_crawlers, slices)
-        ]
-        merged: dict[str, InstanceSnapshot] = {}
-        for part_snapshots in self.executor.run(tasks):
-            merged.update(part_snapshots)
-        return merged
-
-    def _collect_timelines(
-        self, domains: list[str], now: float
-    ) -> list[TimelineCollection]:
-        """The timeline phase, fanned out; merged in slice order.
-
-        Unlike the sequential engine's lazy generator, each worker
-        materialises its slice's collections before the merge — counting
-        runs trade the O(1)-memory laziness for parallel collection.
-        """
-        slices = _partition(domains, self.threads)
-        config = self.config
-        tasks = [
-            (
-                lambda crawler=crawler, part=part: list(
-                    crawler.collect_many(
-                        part,
-                        now,
-                        local_only=True,
-                        max_posts=config.max_posts_per_instance,
-                    )
-                )
-            )
-            for crawler, part in zip(self.timeline_crawlers, slices)
-        ]
-        merged: list[TimelineCollection] = []
-        for part_collections in self.executor.run(tasks):
-            merged.extend(part_collections)
-        return merged
-
-    # ------------------------------------------------------------------ #
-    # Entry points (mirroring MeasurementCampaign)
-    # ------------------------------------------------------------------ #
-    def crawl(self) -> CrawlResult:
-        """Run discovery, the snapshot rounds and timeline collection."""
-        return self._crawl_phases(retain_timelines=True)
-
-    def assemble(self, result: CrawlResult) -> CrawlResult:
-        """Build the analysis dataset from a finished crawl."""
-        return assemble_result(result)
-
-    def run(self) -> CrawlResult:
-        """Run the full campaign and build the dataset."""
-        return self.assemble(self.crawl())
-
-    def _crawl_phases(self, retain_timelines: bool) -> CrawlResult:
-        clock = self.registry.clock
-        result = CrawlResult(dataset=Dataset())
-        failures_seen = [0] * self.threads
-
-        pleroma_domains, all_domains = self.discover()
-        result.pleroma_domains = pleroma_domains
-        result.discovered_domains = all_domains
-        sorted_pleroma = sorted(pleroma_domains)
-
-        first_seen = result.first_seen
-        interval = self.config.snapshot_interval_hours * 3600.0
-        keep_all = self.config.keep_all_snapshots
-        for round_index in range(self.config.snapshot_rounds):
-            now = clock.now()
-            fetch_peers = round_index == 0
-            snapshots = self._snapshot_round(sorted_pleroma, now, fetch_peers)
-            self._harvest_failures(failures_seen, result)
-            for domain, snapshot in snapshots.items():
-                first_seen.setdefault(domain, now)
-                previous = result.latest_snapshots.get(domain)
-                if previous is not None and not snapshot.peers:
-                    snapshot.peers = previous.peers
-                result.latest_snapshots[domain] = snapshot
-                result.snapshot_counts[domain] = (
-                    result.snapshot_counts.get(domain, 0) + 1
-                )
-                if keep_all:
-                    result.all_snapshots.append(snapshot)
-                if self.sinks:
-                    self._emit_snapshot(round_index, snapshot)
-            clock.advance(interval)
-
-        collections = self._collect_timelines(
-            sorted(result.latest_snapshots), clock.now()
-        )
-        for collection in collections:
-            if retain_timelines:
-                result.timelines.append(collection)
-            if self.sinks:
-                self._emit_timeline(collection)
-        self._harvest_failures(failures_seen, result)
-        result.api_requests = sum(client.stats.requests for client in self.clients)
-        return result

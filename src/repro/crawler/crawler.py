@@ -19,7 +19,7 @@ changed payload is always re-parsed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.api.client import APIClient, APIError
 from repro.api.http import ATTEMPTS_HEADER, HTTPResponse
@@ -125,22 +125,14 @@ class InstanceCrawler:
     def __init__(self, client: APIClient) -> None:
         self.client = client
         self.failures: list[CrawlFailure] = []
-        #: Optional observer notified of every recorded failure (the
-        #: campaign uses this to fan failures out to its crawl sinks).
-        self.on_failure: Callable[[CrawlFailure], None] | None = None
         self._templates: dict[str, _SnapshotTemplate] = {}
-
-    def _record_failure(self, failure: CrawlFailure) -> None:
-        self.failures.append(failure)
-        if self.on_failure is not None:
-            self.on_failure(failure)
 
     def snapshot(self, domain: str, now: float, fetch_peers: bool = True) -> InstanceSnapshot | None:
         """Snapshot one instance; return ``None`` (and record) on failure."""
         try:
             payload = self.client.instance_metadata(domain)
         except APIError as error:
-            self._record_failure(_failure_from_error(domain, now, error))
+            self.failures.append(_failure_from_error(domain, now, error))
             return None
 
         stats = payload.get("stats", {})
@@ -187,7 +179,7 @@ class InstanceCrawler:
         templates = self._templates
         for domain, response in zip(domains, responses):
             if not response.ok:
-                self._record_failure(_failure_from_response(domain, now, response))
+                self.failures.append(_failure_from_response(domain, now, response))
                 continue
             payload = response.body
             template = templates.get(domain)
@@ -224,7 +216,7 @@ class InstanceCrawler:
                 if peers_response.ok:
                     snapshot.peers = tuple(peers_response.body)
                 else:
-                    self._record_failure(
+                    self.failures.append(
                         _failure_from_response(
                             domain, now, peers_response, prefix="peers: "
                         )
@@ -286,7 +278,7 @@ class InstanceCrawler:
         try:
             payload = self.client.nodeinfo(domain)
         except APIError as error:
-            self._record_failure(
+            self.failures.append(
                 _failure_from_error(domain, now, error, prefix="nodeinfo: ")
             )
             return "unknown"
@@ -297,7 +289,7 @@ class InstanceCrawler:
     ) -> str:
         """Batched twin of :meth:`_software_from_nodeinfo`."""
         if not response.ok:
-            self._record_failure(
+            self.failures.append(
                 _failure_from_response(domain, now, response, prefix="nodeinfo: ")
             )
             return "unknown"
@@ -325,7 +317,7 @@ class InstanceCrawler:
         try:
             return tuple(self.client.instance_peers(domain))
         except APIError as error:
-            self._record_failure(
+            self.failures.append(
                 _failure_from_error(domain, now, error, prefix="peers: ")
             )
             return ()

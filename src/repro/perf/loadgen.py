@@ -1,11 +1,12 @@
 """Multi-client load generation against the concurrent serving layer.
 
 :func:`run_load` drives N concurrent crawler clients — a full
-:class:`~repro.crawler.campaign.ConcurrentMeasurementCampaign` — against a
-shared :class:`~repro.api.server.FediverseAPIServer`, recording the
-wall-clock latency of every transport call through a
-:class:`LatencyRecordingTransport` proxy, and reports latency percentiles
-(p50/p95/p99), tail amplification and throughput next to the merged
+:class:`~repro.crawler.campaign.MeasurementCampaign` with ``threads=N`` —
+against a shared :class:`~repro.api.server.FediverseAPIServer`, recording
+the wall-clock latency of every transport call through a
+:class:`LatencyRecordingTransport` proxy passed to the campaign as its
+``server``, and reports latency percentiles (p50/p95/p99), tail
+amplification and throughput next to the merged
 :class:`~repro.crawler.campaign.CrawlResult`.
 
 Clocks: the *simulation* clock never advances during a request (a batch
@@ -28,11 +29,7 @@ from typing import Any, Sequence
 
 from repro.api.http import HTTPRequest, HTTPResponse
 from repro.api.server import FediverseAPIServer, TimelineStream
-from repro.crawler.campaign import (
-    CampaignConfig,
-    ConcurrentMeasurementCampaign,
-    CrawlResult,
-)
+from repro.crawler.campaign import CampaignConfig, CrawlResult, MeasurementCampaign
 from repro.fediverse.registry import FediverseRegistry
 
 
@@ -159,17 +156,13 @@ def run_load(
     """
     server = server or FediverseAPIServer(registry)
     transport = LatencyRecordingTransport(server)
-    campaign = ConcurrentMeasurementCampaign(
+    campaign = MeasurementCampaign(
         registry,
         config,
+        server=transport,  # type: ignore[arg-type]
         threads=threads,
-        server=server,
-        transport=transport,  # type: ignore[arg-type]
     )
-    try:
-        start = time.perf_counter()
-        result = campaign.crawl()
-        wall_seconds = time.perf_counter() - start
-    finally:
-        campaign.close()
+    start = time.perf_counter()
+    result = campaign.crawl()
+    wall_seconds = time.perf_counter() - start
     return load_report(transport, threads, wall_seconds), result

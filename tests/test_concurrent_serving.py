@@ -1,15 +1,16 @@
-"""Tests for the concurrent serving layer (PR 9).
+"""Tests for the concurrent serving layer.
 
 Covers the thread-safe server front end: atomic :class:`ClientStats`
 counters (the ``by_domain`` lost-update race), frozen shared response
 caches, availability-flip error caching under churn, the
 :class:`RequestExecutor`, the twin-run equivalence of
-:class:`ConcurrentMeasurementCampaign` against the sequential engine at
-1/2/8 threads, and the load-generation harness's latency reports.
+:class:`MeasurementCampaign` at 1/2/8 threads against the 1-thread
+campaign, the sink event stream and pool lifetime of multi-threaded
+campaigns, and the load-generation harness's latency reports.
 
 Every test in the module runs under a faulthandler deadlock tripwire
-(PR 8's ``--hang-timeout`` pattern): a wedged lock or pool dumps every
-thread's stack and kills the run instead of hanging the suite.
+(the bench harness's ``--hang-timeout`` pattern): a wedged lock or pool
+dumps every thread's stack and kills the run instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from repro.api.http import FrozenList, HTTPStatus, freeze_json
 from repro.api.server import FediverseAPIServer, RequestExecutor
 from repro.crawler.campaign import (
     CampaignConfig,
-    ConcurrentMeasurementCampaign,
-    CountingCrawlSink,
+    CrawlSink,
     MeasurementCampaign,
     _partition,
 )
 from repro.crawler.crawler import INSTANCE_PATH
+from repro.faults import FaultSpec, ResilienceConfig
 from repro.fediverse.instance import InstanceAvailability
 from repro.fediverse.registry import FediverseRegistry
 from repro.perf.harness import _crawl_state
@@ -301,7 +302,24 @@ class TestRequestExecutor:
         with pytest.raises(ValueError):
             RequestExecutor(threads=0)
         with pytest.raises(ValueError):
-            ConcurrentMeasurementCampaign(FediverseRegistry(), threads=0)
+            MeasurementCampaign(FediverseRegistry(), threads=0)
+
+    def test_faults_and_resilience_need_one_thread(self):
+        registry = FediverseRegistry()
+        with pytest.raises(ValueError):
+            MeasurementCampaign(
+                registry, threads=2, faults=FaultSpec.profile("mixed")
+            )
+        with pytest.raises(ValueError):
+            MeasurementCampaign(
+                registry, threads=2, resilience=ResilienceConfig.default()
+            )
+        # One thread takes both.
+        MeasurementCampaign(
+            registry,
+            faults=FaultSpec.profile("mixed"),
+            resilience=ResilienceConfig.default(),
+        )
 
     def test_partition_is_contiguous_and_complete(self):
         items = [f"d{index:03d}" for index in range(11)]
@@ -322,8 +340,8 @@ class TestConcurrentCampaignEquivalence:
         """Randomised scenarios x 1/2/8 threads: merged result bit-identical.
 
         Each trial draws a population size (and, on some trials, churn)
-        from the trial seed, runs the sequential engine on one generated
-        fediverse, then the concurrent engine at every thread count on
+        from the trial seed, runs the default 1-thread campaign on one
+        generated fediverse, then the campaign at every thread count on
         bit-identical twins — every :class:`CrawlResult` field, the
         assembled dataset included, must match exactly.
         """
@@ -352,45 +370,101 @@ class TestConcurrentCampaignEquivalence:
 
         for threads in (1, 2, 8):
             twin = FediverseGenerator(config).generate().registry
-            with ConcurrentMeasurementCampaign(
+            concurrent = MeasurementCampaign(
                 twin, campaign_config, threads=threads
-            ) as campaign:
-                concurrent = campaign.run()
+            ).run()
             assert _crawl_state(concurrent) == reference, (
                 f"{threads}-thread crawl diverged (trial seed {trial_seed})"
             )
 
     def test_sink_event_stream_matches_sequential(self):
-        """Counting sinks observe the same campaign either way."""
+        """Sinks see the same ordered event stream at every thread count.
+
+        Failures are harvested from the workers after each phase; a harvest
+        that emitted them after the round's snapshots (or out of domain
+        order) would change the stream, not only its totals.
+        """
         config = scenario_config("tiny", seed=5, n_pleroma_instances=16)
         campaign_config = CampaignConfig(
             duration_days=1.0, snapshot_interval_hours=6.0
         )
+        streams = {}
+        for threads in (1, 2, 4):
+            registry = FediverseGenerator(config).generate().registry
+            sink = _EventRecorder(
+                registry.clock.now(), campaign_config.snapshot_interval_hours
+            )
+            MeasurementCampaign(
+                registry, campaign_config, sinks=[sink], threads=threads
+            ).run()
+            streams[threads] = sink.events
 
-        registry = FediverseGenerator(config).generate().registry
-        sequential_sink = CountingCrawlSink()
+        reference = streams[1]
+        failures = [event for event in reference if event[0] == "failure"]
+        assert failures, "the population must produce crawl failures"
+        assert streams[2] == reference
+        assert streams[4] == reference
+        # Each round's failures precede that round's snapshots.
+        for round_index in range(campaign_config.snapshot_rounds):
+            kinds = [event[0] for event in reference if event[1] == round_index]
+            assert kinds == sorted(kinds)  # "failure" < "snapshot"
+
+    def test_multi_thread_run_leaves_no_pool_thread(self):
+        """The executor is scoped to the crawl: no pool thread outlives it."""
+        registry = _tiny_registry(seed=5, n_pleroma_instances=16)
+        seen_during_run: set[str] = set()
+
+        class PoolWatcher(CrawlSink):
+            def on_snapshot(self, round_index, snapshot):
+                seen_during_run.update(_serving_threads())
+
         MeasurementCampaign(
-            registry, campaign_config, sinks=[sequential_sink]
+            registry,
+            CampaignConfig(duration_days=0.5, snapshot_interval_hours=6.0),
+            sinks=[PoolWatcher()],
+            threads=2,
         ).run()
+        assert seen_during_run  # the pool really ran
+        assert _serving_threads() == []
 
-        twin = FediverseGenerator(config).generate().registry
-        concurrent_sink = CountingCrawlSink()
-        with ConcurrentMeasurementCampaign(
-            twin, campaign_config, threads=4, sinks=[concurrent_sink]
-        ) as campaign:
-            campaign.run()
 
-        assert concurrent_sink.snapshots == sequential_sink.snapshots
-        assert concurrent_sink.failures == sequential_sink.failures
-        assert (
-            concurrent_sink.failures_by_status
-            == sequential_sink.failures_by_status
+def _serving_threads() -> list[str]:
+    """Names of the live ``RequestExecutor`` pool threads."""
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("serving")
+    ]
+
+
+class _EventRecorder(CrawlSink):
+    """Record ``(kind, round_index, domain, status)`` for every crawl event.
+
+    Failures carry no round index, so it is recovered from their
+    timestamp; timeline events land on the round after the last snapshot.
+    """
+
+    def __init__(self, start: float, interval_hours: float) -> None:
+        self.start = start
+        self.interval = interval_hours * 3600.0
+        self.events: list[tuple[str, int, str, int]] = []
+
+    def _round(self, timestamp: float) -> int:
+        return round((timestamp - self.start) / self.interval)
+
+    def on_snapshot(self, round_index, snapshot):
+        self.events.append(("snapshot", round_index, snapshot.domain, 200))
+
+    def on_failure(self, failure):
+        round_index = self._round(failure.timestamp)
+        self.events.append(
+            ("failure", round_index, failure.domain, failure.status_code)
         )
-        assert concurrent_sink.timelines == sequential_sink.timelines
-        assert concurrent_sink.posts == sequential_sink.posts
-        assert (
-            concurrent_sink.unreachable_timelines
-            == sequential_sink.unreachable_timelines
+
+    def on_timeline(self, collection):
+        round_index = self._round(collection.timestamp)
+        self.events.append(
+            ("timeline", round_index, collection.domain, collection.status_code)
         )
 
 

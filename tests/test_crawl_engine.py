@@ -230,10 +230,14 @@ class TestCrawlSinks:
             statuses[failure.status_code] = statuses.get(failure.status_code, 0) + 1
         assert sink.failures_by_status == statuses
 
-    def test_run_counted_keeps_aggregates_only(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_counted_keeps_aggregates_only(self, threads):
         config = CampaignConfig(duration_days=0.5, timeline_page_size=5)
         counted = MeasurementCampaign(
-            build_mixed_registry(), config, directory=FixedDirectory(MIXED_DOMAINS)
+            build_mixed_registry(),
+            config,
+            directory=FixedDirectory(MIXED_DOMAINS),
+            threads=threads,
         ).run_counted()
         reference = MeasurementCampaign(
             build_mixed_registry(), config, directory=FixedDirectory(MIXED_DOMAINS)
